@@ -772,8 +772,7 @@ impl AppServer {
                     let generation = broker.generation();
                     if generation != last_generation {
                         last_generation = generation;
-                        let ring: Vec<bytes::Bytes> =
-                            shared.write_ring.lock().iter().cloned().collect();
+                        let ring: Vec<bytes::Bytes> = shared.write_ring.lock().iter().cloned().collect();
                         for payload in &ring {
                             broker.publish(CLUSTER_TOPIC, payload.clone());
                         }

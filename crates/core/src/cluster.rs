@@ -578,9 +578,7 @@ impl Source<Event> for IngressSource {
         // Binary write envelopes take the zero-copy lazy path (only the
         // `key`/`doc`/`trace` subtrees are materialized); everything else
         // falls back to the eager decoder with identical error accounting.
-        let mut decode = |payload: bytes::Bytes| match crate::ingest::decode_cluster_payload(
-            &payload,
-        ) {
+        let mut decode = |payload: bytes::Bytes| match crate::ingest::decode_cluster_payload(&payload) {
             Some(mut msg) => {
                 // Sampled traces get their ingestion stamp the moment the
                 // envelope is decoded off the event layer.

@@ -26,7 +26,7 @@ use invalidb_common::{
     QueryHash, ResultItem, Stage, SubscriptionId, SubscriptionRequest, TenantId, Timestamp,
     TraceContext, Version,
 };
-use invalidb_obs::{MetricsRegistry, SlowQueryScratch};
+use invalidb_obs::SlowQueryScratch;
 use invalidb_query::{PreparedAtom, PreparedQuery};
 use invalidb_stream::{Bolt, BoltContext};
 use std::collections::{HashMap, VecDeque};
@@ -67,7 +67,12 @@ impl PredCache {
     /// The conjunction of `atoms` over `doc`, memoized per (atom, write).
     /// Exactly equivalent to `prepared.matches(doc)` by the
     /// [`invalidb_query::PreparedQuery::conjuncts`] contract.
-    fn eval_all(&mut self, atoms: &[PreparedAtom], write_idx: u32, doc: &invalidb_common::Document) -> bool {
+    fn eval_all(
+        &mut self,
+        atoms: &[PreparedAtom],
+        write_idx: u32,
+        doc: &invalidb_common::Document,
+    ) -> bool {
         atoms.iter().all(|a| match self.map.entry((a.hash().0, write_idx)) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits += 1;
@@ -80,6 +85,16 @@ impl PredCache {
     fn take_hits(&mut self) -> u64 {
         std::mem::take(&mut self.hits)
     }
+}
+
+/// State of one evaluation run: the shared predicate memo, and the run's
+/// filtering outcomes, which reach the shared counters once per run
+/// ([`MatchingNode::finish_run`]) rather than once per candidate.
+#[derive(Default)]
+struct EvalRun {
+    preds: PredCache,
+    matched: u64,
+    filtered: u64,
 }
 
 /// One active query on this node (shared by all its subscriptions).
@@ -106,7 +121,9 @@ pub struct MatchingNode {
     grid: GridShape,
     config: ClusterConfig,
     clock: Arc<dyn Clock>,
-    queries: HashMap<(TenantId, QueryHash), QueryGroup>,
+    /// Active queries per tenant, so the per-candidate lookup borrows the
+    /// run's tenant instead of cloning it into a composite key.
+    queries: HashMap<TenantId, HashMap<QueryHash, QueryGroup>>,
     /// Multi-query index per (tenant, collection): maps a write to the
     /// candidate queries instead of evaluating all of them (thesis's
     /// multi-query optimization; disable via `ClusterConfig`).
@@ -129,8 +146,9 @@ pub struct MatchingNode {
     slow_scratch: SlowQueryScratch,
     /// Reused mini-batch buffer for [`Bolt::execute_batch`] turns.
     write_scratch: WriteBatch,
-    /// Shared predicate evaluation cache (cleared per evaluation run).
-    pred_cache: PredCache,
+    /// Shared predicate evaluation cache and outcome counts of the current
+    /// evaluation run.
+    run: EvalRun,
     /// Reused candidate-pair buffer for the batched index probe.
     cand_pairs: Vec<(QueryHash, u32)>,
     /// Cluster-shared `matching.index.*` series, resolved once so the tick
@@ -140,7 +158,12 @@ pub struct MatchingNode {
     metric_indexed: Arc<AtomicU64>,
     metric_scanned: Arc<AtomicU64>,
     metric_eq_hits: Arc<AtomicU64>,
+    metric_residual_rejects: Arc<AtomicU64>,
     metric_pred_hits: Arc<AtomicU64>,
+    /// Hot-path counters, resolved once for the same reason.
+    metric_matched: Arc<AtomicU64>,
+    metric_filtered: Arc<AtomicU64>,
+    metric_dropped_stale: Arc<AtomicU64>,
     last_indexed: u64,
     last_scanned: u64,
 }
@@ -151,7 +174,11 @@ impl MatchingNode {
         let metric_indexed = config.metrics.gauge("matching.index.indexed_queries");
         let metric_scanned = config.metrics.gauge("matching.index.scanned_queries");
         let metric_eq_hits = config.metrics.counter("matching.index.eq_lane_hits");
+        let metric_residual_rejects = config.metrics.counter("matching.index.residual_rejects");
         let metric_pred_hits = config.metrics.counter("matching.index.pred_cache_hits");
+        let metric_matched = config.metrics.counter("matching.matched");
+        let metric_filtered = config.metrics.counter("matching.filtered");
+        let metric_dropped_stale = config.metrics.counter("matching.dropped_stale");
         Self {
             coord: grid.coord_of(task),
             grid,
@@ -166,12 +193,16 @@ impl MatchingNode {
             ingest_lag_us: 0,
             slow_scratch: SlowQueryScratch::new(),
             write_scratch: WriteBatch::default(),
-            pred_cache: PredCache::default(),
+            run: EvalRun::default(),
             cand_pairs: Vec::new(),
             metric_indexed,
             metric_scanned,
             metric_eq_hits,
+            metric_residual_rejects,
             metric_pred_hits,
+            metric_matched,
+            metric_filtered,
+            metric_dropped_stale,
             last_indexed: 0,
             last_scanned: 0,
         }
@@ -180,90 +211,108 @@ impl MatchingNode {
     fn handle_subscribe(&mut self, req: &SubscriptionRequest, ctx: &mut BoltContext<'_, Event>) {
         let now = self.clock.now();
         let expires_at = now.after(std::time::Duration::from_micros(req.ttl_micros));
-        let group_key = (req.tenant.clone(), req.query_hash);
-        if let Some(group) = self.queries.get_mut(&group_key) {
-            group
-                .subscriptions
-                .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
-            return;
-        }
-        let prepared = match self.config.engine.prepare(&req.spec) {
-            Ok(p) => p,
-            Err(e) => {
-                // Unparseable query: report an error notification so the
-                // subscription does not dangle silently.
-                ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
+        let hash = req.query_hash;
+        let existing = self.queries.get_mut(&req.tenant).and_then(|groups| groups.remove(&hash));
+        let is_new = existing.is_none();
+        let mut group = match existing {
+            Some(group) => group,
+            None => {
+                let prepared = match self.config.engine.prepare(&req.spec) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        // Unparseable query: report an error notification so
+                        // the subscription does not dangle silently.
+                        ctx.emit(Event::Out(Arc::new(OutMsg::Notify(Notification {
+                            tenant: req.tenant.clone(),
+                            subscription: req.subscription,
+                            kind: NotificationKind::Error(invalidb_common::MaintenanceError {
+                                reason: format!("query rejected: {e}"),
+                            }),
+                            caused_by_write_at: 0,
+                            trace: None,
+                        }))));
+                        return;
+                    }
+                };
+                if self.config.multi_query_index {
+                    self.indexes
+                        .entry((req.tenant.clone(), req.spec.collection.clone()))
+                        .or_default()
+                        .insert(hash, &req.spec.filter);
+                }
+                QueryGroup {
                     tenant: req.tenant.clone(),
-                    subscription: req.subscription,
-                    kind: NotificationKind::Error(invalidb_common::MaintenanceError {
-                        reason: format!("query rejected: {e}"),
-                    }),
-                    caused_by_write_at: 0,
-                    trace: None,
-                }))));
-                return;
+                    collection: req.spec.collection.clone(),
+                    spec_display: req.spec.to_string(),
+                    prepared,
+                    staged: req.spec.needs_sorting_stage() || req.spec.needs_aggregation_stage(),
+                    result: HashMap::new(),
+                    subscriptions: HashMap::new(),
+                }
             }
-        };
-        // Seed this node's result slice: only keys of *our* write partition
-        // ("every node receives only a partition of the result", §5.1).
-        let mut result = HashMap::new();
-        for item in &req.initial {
-            if self.grid.write_partition(&item.key) == self.coord.wp {
-                result.insert(item.key.clone(), item.version);
-            }
-        }
-        let mut group = QueryGroup {
-            tenant: req.tenant.clone(),
-            collection: req.spec.collection.clone(),
-            spec_display: req.spec.to_string(),
-            prepared,
-            staged: req.spec.needs_sorting_stage() || req.spec.needs_aggregation_stage(),
-            result,
-            subscriptions: HashMap::new(),
         };
         group
             .subscriptions
             .insert(req.subscription, SubState { tenant: req.tenant.clone(), expires_at });
-        // Replay retained writes against the new query: closes the
-        // write-subscription race (§5.1). Writes already reflected in the
-        // initial result are skipped by the version guard.
-        let retained: Vec<Arc<AfterImage>> = self
-            .retention
-            .iter()
-            .filter(|(_, img)| img.tenant == group.tenant && img.collection == group.collection)
-            .map(|(_, img)| Arc::clone(img))
-            .collect();
-        let hash = req.query_hash;
-        if self.config.multi_query_index {
-            self.indexes
-                .entry((req.tenant.clone(), req.spec.collection.clone()))
-                .or_default()
-                .insert(hash, &req.spec.filter);
-            for key in group.result.keys() {
-                let record = RecordId {
-                    tenant: group.tenant.clone(),
-                    collection: group.collection.clone(),
-                    key: key.clone(),
-                };
-                self.containing.entry(record).or_default().push(hash);
+        // Seed this node's result slice from the fresh pull result: only
+        // keys of *our* write partition ("every node receives only a
+        // partition of the result", §5.1). A re-registration to an existing
+        // group (a renewal, or another subscriber) adds the keys the slice
+        // lacks: the node missed the write that made them match (e.g. one
+        // lost in an event-layer gap), and without them a later write
+        // moving such a key out of the result would be filtered instead of
+        // producing the `Remove` the client needs.
+        let mut seeded: Vec<&Key> = Vec::new();
+        for item in &req.initial {
+            if self.grid.write_partition(&item.key) == self.coord.wp
+                && !group.result.contains_key(&item.key)
+            {
+                group.result.insert(item.key.clone(), item.version);
+                if self.config.multi_query_index {
+                    let record = RecordId {
+                        tenant: group.tenant.clone(),
+                        collection: group.collection.clone(),
+                        key: item.key.clone(),
+                    };
+                    self.containing.entry(record).or_default().push(hash);
+                }
+                seeded.push(&item.key);
             }
         }
+        // Replay retained writes against the query: closes the
+        // write-subscription race (§5.1). Writes already reflected in the
+        // initial result are skipped by the version guard. An existing group
+        // has already evaluated every retained write, so only its seeded
+        // keys are replayed, which brings them up to what the node has seen
+        // since the pull.
+        let retained: Vec<Arc<AfterImage>> = if is_new || !seeded.is_empty() {
+            self.retention
+                .iter()
+                .filter(|(_, img)| {
+                    img.tenant == group.tenant
+                        && img.collection == group.collection
+                        && (is_new || seeded.contains(&&img.key))
+                })
+                .map(|(_, img)| Arc::clone(img))
+                .collect()
+        } else {
+            Vec::new()
+        };
         for img in retained {
-            self.pred_cache.begin_run();
+            self.run.preds.begin_run();
             let transition = Self::match_against(
                 &mut group,
                 hash,
                 &img,
-                &self.config.metrics,
+                &mut self.run,
                 self.config.worker_identity.as_ref(),
                 &mut self.slow_scratch,
-                &mut self.pred_cache,
-                0,
                 ctx,
             );
             self.note_transition(&img, hash, transition);
         }
-        self.queries.insert(group_key, group);
+        self.finish_run();
+        self.queries.entry(req.tenant.clone()).or_default().insert(hash, group);
     }
 
     /// Maintains the inverted result-membership map after a transition.
@@ -331,7 +380,7 @@ impl MatchingNode {
             match self.latest_versions.get(&record) {
                 Some(&seen) if img.version <= seen => {
                     self.stale_dropped += 1;
-                    self.config.metrics.inc("matching.dropped_stale");
+                    self.metric_dropped_stale.fetch_add(1, AtomicOrdering::Relaxed);
                     continue;
                 }
                 _ => {}
@@ -347,7 +396,7 @@ impl MatchingNode {
                 // Emulates the paper's CPU throttling so saturation appears
                 // at laptop-scale workloads; busy-wait per write to consume
                 // executor time.
-                let until = std::time::Instant::now() + cost * self.queries.len().max(1) as u32;
+                let until = std::time::Instant::now() + cost * self.active_queries().max(1) as u32;
                 while std::time::Instant::now() < until {
                     std::hint::spin_loop();
                 }
@@ -365,23 +414,23 @@ impl MatchingNode {
             // evaluated per write, as before — the shared predicate cache
             // still collapses atoms repeated across those queries.
             for img in live {
-                self.pred_cache.begin_run();
-                for ((_, hash), group) in self.queries.iter_mut() {
-                    if group.tenant == img.tenant && group.collection == img.collection {
+                self.run.preds.begin_run();
+                let Some(groups) = self.queries.get_mut(&img.tenant) else { continue };
+                for (hash, group) in groups.iter_mut() {
+                    if group.collection == img.collection {
                         Self::match_against(
                             group,
                             *hash,
                             img,
-                            &self.config.metrics,
+                            &mut self.run,
                             self.config.worker_identity.as_ref(),
                             &mut self.slow_scratch,
-                            &mut self.pred_cache,
-                            0,
                             ctx,
                         );
                     }
                 }
             }
+            self.finish_run();
             return;
         }
         // Phase 2 — group by (tenant, collection), preserving arrival order
@@ -433,7 +482,9 @@ impl MatchingNode {
         let docs: Vec<Option<&invalidb_common::Document>> =
             writes.iter().map(|img| img.doc.as_ref()).collect();
         let mut pairs = std::mem::take(&mut self.cand_pairs);
-        index.candidates_batch(&docs, &mut pairs);
+        // Lane entries the residual ranges rejected are filtered
+        // evaluations that never had to run.
+        self.run.filtered += index.candidates_batch(&docs, &mut pairs);
         // Holder candidates: queries whose result currently contains the
         // record (covers moves out of range and deletes). Keys are distinct
         // within a run, so this snapshot equals the serial per-write lookup.
@@ -454,7 +505,7 @@ impl MatchingNode {
         // order — per-subscription output is byte-identical to serial.
         // One predicate-memo run spans the whole run: a memoized atom
         // result is shared across every candidate query of each write.
-        self.pred_cache.begin_run();
+        self.run.preds.begin_run();
         let mut transitions: Vec<(u32, FilterChangeKind)> = Vec::new();
         let mut i = 0;
         while i < pairs.len() {
@@ -463,7 +514,7 @@ impl MatchingNode {
             while j < pairs.len() && pairs[j].0 == hash {
                 j += 1;
             }
-            match self.queries.get_mut(&(tenant.clone(), hash)) {
+            match self.queries.get_mut(tenant).and_then(|groups| groups.get_mut(&hash)) {
                 Some(group) => {
                     let started = std::time::Instant::now();
                     for k in i..j {
@@ -472,9 +523,8 @@ impl MatchingNode {
                             group,
                             hash,
                             img,
-                            &self.config.metrics,
+                            &mut self.run,
                             self.config.worker_identity.as_ref(),
-                            &mut self.pred_cache,
                             pairs[k].1,
                             ctx,
                         ) {
@@ -486,7 +536,7 @@ impl MatchingNode {
                         hash.0,
                         || group.spec_display.clone(),
                         (j - i) as u64,
-                        started.elapsed().as_micros() as u64,
+                        started.elapsed().as_nanos() as u64,
                     );
                 }
                 None => {
@@ -515,6 +565,19 @@ impl MatchingNode {
         }
         pairs.clear();
         self.cand_pairs = pairs;
+        self.finish_run();
+    }
+
+    /// Moves the current run's filtering outcomes to the shared counters.
+    fn finish_run(&mut self) {
+        let matched = std::mem::take(&mut self.run.matched);
+        if matched > 0 {
+            self.metric_matched.fetch_add(matched, AtomicOrdering::Relaxed);
+        }
+        let filtered = std::mem::take(&mut self.run.filtered);
+        if filtered > 0 {
+            self.metric_filtered.fetch_add(filtered, AtomicOrdering::Relaxed);
+        }
     }
 
     /// Evaluates one write against one query, charging the wall-clock cost
@@ -524,20 +587,18 @@ impl MatchingNode {
         group: &mut QueryGroup,
         hash: QueryHash,
         img: &AfterImage,
-        metrics: &MetricsRegistry,
+        run: &mut EvalRun,
         identity: Option<&WorkerIdentity>,
         scratch: &mut SlowQueryScratch,
-        cache: &mut PredCache,
-        write_idx: u32,
         ctx: &mut BoltContext<'_, Event>,
     ) -> Option<FilterChangeKind> {
         let started = std::time::Instant::now();
-        let kind = Self::evaluate(group, hash, img, metrics, identity, cache, write_idx, ctx);
+        let kind = Self::evaluate(group, hash, img, run, identity, 0, ctx);
         scratch.charge(
             &group.tenant.0,
             hash.0,
             || group.spec_display.clone(),
-            started.elapsed().as_micros() as u64,
+            started.elapsed().as_nanos() as u64,
         );
         kind
     }
@@ -548,9 +609,8 @@ impl MatchingNode {
         group: &mut QueryGroup,
         hash: QueryHash,
         img: &AfterImage,
-        metrics: &MetricsRegistry,
+        run: &mut EvalRun,
         identity: Option<&WorkerIdentity>,
-        cache: &mut PredCache,
         write_idx: u32,
         ctx: &mut BoltContext<'_, Event>,
     ) -> Option<FilterChangeKind> {
@@ -565,7 +625,7 @@ impl MatchingNode {
         // `prepared.matches` by the `conjuncts` contract); queries that
         // opt out of decomposition evaluate whole.
         let matches_now = img.doc.as_ref().is_some_and(|d| match group.prepared.conjuncts() {
-            Some(atoms) => cache.eval_all(atoms, write_idx, d),
+            Some(atoms) => run.preds.eval_all(atoms, write_idx, d),
             None => group.prepared.matches(d),
         });
         let kind = match (old.is_some(), matches_now) {
@@ -573,11 +633,11 @@ impl MatchingNode {
             (true, true) => FilterChangeKind::Change,
             (true, false) => FilterChangeKind::Remove,
             (false, false) => {
-                metrics.inc("matching.filtered");
+                run.filtered += 1;
                 return None; // irrelevant write: filtered out
             }
         };
-        metrics.inc("matching.matched");
+        run.matched += 1;
         match kind {
             FilterChangeKind::Remove => {
                 group.result.remove(&img.key);
@@ -644,12 +704,16 @@ impl MatchingNode {
         query_hash: QueryHash,
         subscription: SubscriptionId,
     ) {
-        if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
+        let Some(groups) = self.queries.get_mut(tenant) else { return };
+        if let Some(group) = groups.get_mut(&query_hash) {
             group.subscriptions.remove(&subscription);
             if group.subscriptions.is_empty() {
                 // Deactivated queries stop consuming resources (§5).
                 let collection = group.collection.clone();
-                self.queries.remove(&(tenant.clone(), query_hash));
+                groups.remove(&query_hash);
+                if groups.is_empty() {
+                    self.queries.remove(tenant);
+                }
                 if let Some(index) = self.indexes.get_mut(&(tenant.clone(), collection)) {
                     index.remove(query_hash);
                 }
@@ -665,7 +729,8 @@ impl MatchingNode {
         ttl_micros: u64,
     ) {
         let now = self.clock.now();
-        if let Some(group) = self.queries.get_mut(&(tenant.clone(), query_hash)) {
+        if let Some(group) = self.queries.get_mut(tenant).and_then(|groups| groups.get_mut(&query_hash))
+        {
             if let Some(sub) = group.subscriptions.get_mut(&subscription) {
                 sub.expires_at = now.after(std::time::Duration::from_micros(ttl_micros));
             }
@@ -676,15 +741,18 @@ impl MatchingNode {
         let now = self.clock.now();
         // TTL enforcement: drop expired subscriptions, then empty groups.
         let indexes = &mut self.indexes;
-        self.queries.retain(|(tenant, hash), group| {
-            group.subscriptions.retain(|_, sub| sub.expires_at > now);
-            let keep = !group.subscriptions.is_empty();
-            if !keep {
-                if let Some(index) = indexes.get_mut(&(tenant.clone(), group.collection.clone())) {
-                    index.remove(*hash);
+        self.queries.retain(|tenant, groups| {
+            groups.retain(|hash, group| {
+                group.subscriptions.retain(|_, sub| sub.expires_at > now);
+                let keep = !group.subscriptions.is_empty();
+                if !keep {
+                    if let Some(index) = indexes.get_mut(&(tenant.clone(), group.collection.clone())) {
+                        index.remove(*hash);
+                    }
                 }
-            }
-            keep
+                keep
+            });
+            !groups.is_empty()
         });
         // Retention trimming.
         let horizon = self.config.retention;
@@ -709,7 +777,7 @@ impl MatchingNode {
 
     /// Number of active query groups (tests/metrics).
     pub fn active_queries(&self) -> usize {
-        self.queries.len()
+        self.queries.values().map(HashMap::len).sum()
     }
 
     /// Number of retained after-images (tests/metrics).
@@ -770,7 +838,7 @@ impl Bolt<Event> for MatchingNode {
         // Per-partition gauges, refreshed once per tick so the hot write
         // path never touches the registry maps.
         let cell = format!("matching.{}x{}", self.coord.qp, self.coord.wp);
-        self.config.metrics.set_gauge(&format!("{cell}.active_queries"), self.queries.len() as u64);
+        self.config.metrics.set_gauge(&format!("{cell}.active_queries"), self.active_queries() as u64);
         self.config.metrics.set_gauge(&format!("{cell}.retained_writes"), self.retention.len() as u64);
         self.config.metrics.set_gauge(&format!("{cell}.ingest_lag_us"), self.ingest_lag_us);
         self.ingest_lag_us = 0;
@@ -780,17 +848,22 @@ impl Bolt<Event> for MatchingNode {
         let mut indexed = 0u64;
         let mut scanned = 0u64;
         let mut eq_hits = 0u64;
+        let mut residual_rejects = 0u64;
         for index in self.indexes.values_mut() {
             indexed += index.indexed_len() as u64;
             scanned += index.scan_len() as u64;
             eq_hits += index.take_eq_lane_hits();
+            residual_rejects += index.take_residual_rejects();
         }
         publish_gauge_delta(&self.metric_indexed, &mut self.last_indexed, indexed);
         publish_gauge_delta(&self.metric_scanned, &mut self.last_scanned, scanned);
         if eq_hits > 0 {
             self.metric_eq_hits.fetch_add(eq_hits, AtomicOrdering::Relaxed);
         }
-        let pred_hits = self.pred_cache.take_hits();
+        if residual_rejects > 0 {
+            self.metric_residual_rejects.fetch_add(residual_rejects, AtomicOrdering::Relaxed);
+        }
+        let pred_hits = self.run.preds.take_hits();
         if pred_hits > 0 {
             self.metric_pred_hits.fetch_add(pred_hits, AtomicOrdering::Relaxed);
         }
@@ -1208,6 +1281,99 @@ mod tests {
         }
         assert_eq!(serial.stale_dropped(), batched.stale_dropped());
         assert_eq!(serial.retained_writes(), batched.retained_writes());
+    }
+
+    #[test]
+    fn lane_rejected_write_still_removes_held_records() {
+        use invalidb_stream::run_with_collector;
+        // Both queries sit in the `s` lane with the residual `p < 10`. The
+        // second write moves the held record to `p = 50`: the lane rejects
+        // both queries, but the holder lookup still evaluates them, so the
+        // record leaves both results.
+        let cfg = ClusterConfig::new(1, 1);
+        let metrics = cfg.metrics.clone();
+        let mut node = MatchingNode::new(0, GridShape::new(1, 1), cfg, Arc::new(MockClock::new()));
+        let filter = doc! { "s" => "x", "p" => doc! { "$lt" => 10i64 } };
+        let unsorted = QuerySpec::filter("t", filter.clone());
+        let sorted = QuerySpec::filter("t", filter).sorted_by("p", SortDirection::Asc).with_limit(3);
+        let sorted_hash = sorted.stable_hash();
+        let mut out = Vec::new();
+        run_with_collector(&mut out, |ctx| {
+            node.execute(subscribe_event(unsorted, 1, vec![]), ctx);
+            node.execute(subscribe_event(sorted, 2, vec![]), ctx);
+            node.execute(write_event(Key::of("a"), 1, Some(doc! { "s" => "x", "p" => 5i64 })), ctx);
+            node.execute(write_event(Key::of("a"), 2, Some(doc! { "s" => "x", "p" => 50i64 })), ctx);
+            // A record held by no query is rejected without any evaluation.
+            node.execute(write_event(Key::of("b"), 1, Some(doc! { "s" => "x", "p" => 70i64 })), ctx);
+            node.tick(ctx);
+        });
+        let kinds: Vec<MatchType> = notifications(&out)
+            .iter()
+            .filter_map(|n| match &n.kind {
+                NotificationKind::Change(c) if n.subscription.0 == 1 => Some(c.match_type),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, vec![MatchType::Add, MatchType::Remove], "unsorted query");
+        let changes: Vec<(FilterChangeKind, Version)> = out
+            .iter()
+            .filter_map(|e| match e {
+                Event::FilterChange(fc) if fc.query_hash == sorted_hash => Some((fc.kind, fc.version)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            changes,
+            vec![(FilterChangeKind::Add, 1), (FilterChangeKind::Remove, 2)],
+            "sorted query"
+        );
+        let counter = |name: &str| metrics.counter(name).load(AtomicOrdering::Relaxed);
+        assert_eq!(counter("matching.index.residual_rejects"), 4, "both queries, writes 2 and 3");
+        assert_eq!(counter("matching.index.eq_lane_hits"), 6);
+        // Rejections count as filtered; the holder re-evaluations of write
+        // 2 count as matched (the Removes).
+        assert_eq!(counter("matching.filtered"), 4);
+        assert_eq!(counter("matching.matched"), 4);
+    }
+
+    #[test]
+    fn renewal_seeds_keys_the_node_missed() {
+        use invalidb_stream::run_with_collector;
+        // The node never sees the writes that made `a` and `b` match (lost
+        // in an event-layer gap); a renewal hands the client a fresh result
+        // holding both. Later writes moving them out of the result must
+        // still reach the client as Removes.
+        let mut node = MatchingNode::new(
+            0,
+            GridShape::new(1, 1),
+            ClusterConfig::new(1, 1),
+            Arc::new(MockClock::new()),
+        );
+        let spec = QuerySpec::filter("t", doc! { "n" => doc! { "$gte" => 10i64 } });
+        let fresh = vec![
+            ResultItem::new(Key::of("a"), 2, doc! { "n" => 20i64 }),
+            ResultItem::new(Key::of("b"), 2, doc! { "n" => 30i64 }),
+        ];
+        let mut out = Vec::new();
+        run_with_collector(&mut out, |ctx| {
+            node.execute(subscribe_event(spec.clone(), 1, vec![]), ctx);
+            // `b` moved out again before the renewal arrived; the node saw
+            // that write, so the renewal's stale `b` is corrected at once.
+            node.execute(write_event(Key::of("b"), 3, Some(doc! { "n" => 1i64 })), ctx);
+            node.execute(subscribe_event(spec.clone(), 1, fresh), ctx);
+            node.execute(write_event(Key::of("a"), 3, Some(doc! { "n" => 1i64 })), ctx);
+        });
+        let removes: Vec<(Key, Version)> = notifications(&out)
+            .iter()
+            .filter_map(|n| match &n.kind {
+                NotificationKind::Change(c) if c.match_type == MatchType::Remove => {
+                    Some((c.item.key.clone(), c.item.version))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(removes, vec![(Key::of("b"), 3), (Key::of("a"), 3)]);
+        assert_eq!(node.active_queries(), 1);
     }
 
     #[test]

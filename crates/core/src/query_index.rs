@@ -19,6 +19,13 @@
 //!   as a residual that full verification (and the matching node's shared
 //!   predicate cache) handles. Before, any conjunction fell onto the O(Q)
 //!   scan list.
+//! * **Residual ranges**: an equality-lane entry also carries its query's
+//!   combined numeric bounds on one other top-level attribute (`price < 100`
+//!   above), strictness kept. When many queries share one lane key (a
+//!   thousand filters on `status: "open"` with different price bands), the
+//!   probe drops the entries whose range the document's value certainly
+//!   misses from the compact lane entry alone, without touching any
+//!   per-query state.
 //!
 //! The index is *conservative*: it may return supersets, never misses.
 //! Array-valued attributes fan out per MongoDB semantics, and since
@@ -26,9 +33,13 @@
 //! (`{a: {$gt: 5, $lt: 9}}` matches `{a: [4, 10]}`), interval lookups probe
 //! the **envelope** `[min(elements), max(elements)]` for intersection
 //! rather than stabbing per element — exact for scalars, superset for
-//! arrays. Every candidate is still verified with the full predicate
-//! evaluation, so correctness never depends on the index. Queries with no
-//! indexable atom fall into a scan list and are evaluated the classic way.
+//! arrays. A residual range rejects only on a scalar `Int`/`Float` value it
+//! can compare exactly; missing, null, array, string, bool, NaN and
+//! integers beyond ±2^53 keep the entry. Every candidate the index returns
+//! is verified with the full predicate evaluation, and every query it drops
+//! certainly fails one of its own atoms, so correctness never depends on
+//! the index. Queries with no indexable atom fall into a scan list and are
+//! evaluated the classic way.
 //!
 //! The interval trees are static and rebuilt lazily on the first lookup
 //! after a subscription change — subscription churn is orders of magnitude
@@ -249,17 +260,106 @@ fn range_scalar(v: &Value) -> bool {
 /// a lane registration.
 const MAX_IN_LANE: usize = 128;
 
+/// Integers up to this magnitude convert to `f64` exactly.
+const EXACT_INT: i64 = 1 << 53;
+
+/// A scalar number as an `f64` that compares against any other such value
+/// exactly as [`canonical_cmp`] would: `Int`s within ±2^53 and non-NaN
+/// `Float`s. Everything else (other types, NaN, larger integers) is `None`.
+fn exact_f64(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(i) if i.unsigned_abs() <= EXACT_INT as u64 => Some(*i as f64),
+        Value::Float(f) if !f.is_nan() => Some(*f),
+        _ => None,
+    }
+}
+
+/// Combined numeric bounds of a conjunction on one attribute, strictness
+/// kept. Starts unbounded; each bound only ever tightens it.
+#[derive(Debug, Clone, Copy)]
+struct NumRange {
+    lo: f64,
+    lo_strict: bool,
+    hi: f64,
+    hi_strict: bool,
+}
+
+impl NumRange {
+    const ALL: NumRange =
+        NumRange { lo: f64::NEG_INFINITY, lo_strict: false, hi: f64::INFINITY, hi_strict: false };
+
+    fn raise_lo(&mut self, b: f64, strict: bool) {
+        if b > self.lo || (b == self.lo && strict) {
+            self.lo = b;
+            self.lo_strict = strict;
+        }
+    }
+
+    fn lower_hi(&mut self, b: f64, strict: bool) {
+        if b < self.hi || (b == self.hi && strict) {
+            self.hi = b;
+            self.hi_strict = strict;
+        }
+    }
+
+    /// Number of bounded sides (0 = no residual worth carrying).
+    fn sides(&self) -> u8 {
+        u8::from(self.lo != f64::NEG_INFINITY || self.lo_strict)
+            + u8::from(self.hi != f64::INFINITY || self.hi_strict)
+    }
+
+    /// True when `x` (an [`exact_f64`] value) fails a bound, i.e. the
+    /// scalar cannot satisfy the conjunction.
+    fn excludes(&self, x: f64) -> bool {
+        x < self.lo
+            || (self.lo_strict && x == self.lo)
+            || x > self.hi
+            || (self.hi_strict && x == self.hi)
+    }
+}
+
+/// A residual range and the slot of the attribute it constrains (see
+/// [`QueryIndex::residual_attrs`]).
+#[derive(Debug, Clone, Copy)]
+struct Residual {
+    slot: u32,
+    range: NumRange,
+}
+
+/// One query registered under an equality-lane key, with its residual
+/// inline so rejection reads nothing but the lane's own array.
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry<Id> {
+    id: Id,
+    residual: Option<Residual>,
+}
+
+type Lane<Id> = HashMap<Vec<u8>, Vec<LaneEntry<Id>>>;
+
+/// Per-probe scratch, reused across writes.
+#[derive(Default)]
+struct ProbeScratch {
+    /// Canonical encoding of the value being looked up in a lane.
+    key: Vec<u8>,
+    /// The document's value per residual slot, resolved on first use:
+    /// `None` = not yet looked up, `Some(None)` = cannot reject.
+    nums: Vec<Option<Option<f64>>>,
+    /// Lane entries found / rejected by their residual since the last drain.
+    eq_hits: u64,
+    rejects: u64,
+}
+
 /// Where a query was registered (exact removal + accounting).
 enum Anchor {
     Scan,
-    Eq { attr: String, keys: Vec<Vec<u8>> },
+    Eq { attr: String, keys: Vec<Vec<u8>>, residual_slot: Option<u32> },
     Range { attr: String },
 }
 
 /// A planned registration, before it is applied to the index structures.
 enum Placement {
     Scan,
-    Eq { attr: String, keys: Vec<Vec<u8>> },
+    Eq { attr: String, keys: Vec<Vec<u8>>, residual: Option<(String, NumRange)> },
     Range { attr: String, lo: Value, hi: Value },
 }
 
@@ -271,17 +371,18 @@ pub struct QueryIndex<Id: Copy + Eq + Hash> {
     /// Built trees (lazily rebuilt when dirty).
     trees: HashMap<String, IntervalTree<Id>>,
     /// Equality lanes: attribute → canonical literal bytes → queries.
-    eq: HashMap<String, HashMap<Vec<u8>, Vec<Id>>>,
+    eq: HashMap<String, Lane<Id>>,
+    /// Attributes constrained by residual ranges, indexed by
+    /// [`Residual::slot`], with the number of lane entries using each
+    /// (a slot whose count dropped to zero is reused).
+    residual_attrs: Vec<(String, usize)>,
     /// Queries that could not be indexed: always evaluated.
     scan: Vec<Id>,
     /// Where each registered query lives (exact removal).
     anchors: HashMap<Id, Anchor>,
     dirty: bool,
-    /// Candidates produced through the equality lanes since the last
-    /// [`QueryIndex::take_eq_lane_hits`] drain.
-    eq_lane_hits: u64,
-    /// Reused per-probe scratch (canonical key encoding / per-write ids).
-    key_scratch: Vec<u8>,
+    probe: ProbeScratch,
+    /// Reused per-write id buffer of the batched probe.
     stab_scratch: Vec<Id>,
 }
 
@@ -299,11 +400,11 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
             ranges: HashMap::new(),
             trees: HashMap::new(),
             eq: HashMap::new(),
+            residual_attrs: Vec::new(),
             scan: Vec::new(),
             anchors: HashMap::new(),
             dirty: false,
-            eq_lane_hits: 0,
-            key_scratch: Vec::new(),
+            probe: ProbeScratch::default(),
             stab_scratch: Vec::new(),
         }
     }
@@ -324,12 +425,16 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                 self.scan.push(id);
                 Anchor::Scan
             }
-            Placement::Eq { attr, keys } => {
+            Placement::Eq { attr, keys, residual } => {
+                let residual = residual.map(|(attr, range)| Residual {
+                    slot: acquire_slot(&mut self.residual_attrs, &attr),
+                    range,
+                });
                 let lane = self.eq.entry(attr.clone()).or_default();
                 for key in &keys {
-                    lane.entry(key.clone()).or_default().push(id);
+                    lane.entry(key.clone()).or_default().push(LaneEntry { id, residual });
                 }
-                Anchor::Eq { attr, keys }
+                Anchor::Eq { attr, keys, residual_slot: residual.map(|r| r.slot) }
             }
             Placement::Range { attr, lo, hi } => {
                 self.ranges.entry(attr.clone()).or_default().insert(id, (lo, hi));
@@ -343,12 +448,14 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// Picks the anchor for a conjunctive filter: equality beats `$in`
     /// beats ranges; among range atoms, all bounds on one attribute are
     /// combined into a single (tighter) interval — the envelope probe keeps
-    /// that array-safe.
+    /// that array-safe. An equality-lane anchor also takes the residual
+    /// range of one other attribute, preferring two-sided bounds.
     fn plan_conjunctive(&self, filter: &Document) -> Placement {
         let atoms = invalidb_query::decompose(filter);
         // Per-attribute combined range bounds, in first-seen atom order
         // (atoms are canonically sorted, so planning is deterministic).
-        let mut bounds: Vec<(String, Option<Value>, Option<Value>)> = Vec::new();
+        let mut bounds: Vec<AttrBounds> = Vec::new();
+        let mut best_eq: Option<(String, Vec<Vec<u8>>)> = None;
         let mut best_in: Option<(String, Vec<Vec<u8>>)> = None;
         for atom in &atoms {
             if atom.doc.len() != 1 {
@@ -358,7 +465,10 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
             if attr.starts_with('$') || attr.contains('.') {
                 continue;
             }
-            match cond {
+            // Normalization spells `$eq` as a plain literal except for
+            // operator-shaped object literals; treat a stray scalar `$eq`
+            // as equality.
+            let literal = match cond {
                 Value::Object(obj) if obj.keys().any(|k| k.starts_with('$')) => {
                     if obj.len() != 1 {
                         continue; // coupled/opaque condition: residual only
@@ -366,68 +476,52 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                     let (op, v) = obj.iter().next().expect("one op");
                     match op {
                         "$gt" | "$gte" if range_scalar(v) => {
-                            let slot = bound_slot(&mut bounds, attr);
-                            slot.1 = Some(tighten(slot.1.take(), v, Ordering::Greater));
+                            bound_slot(&mut bounds, attr).lower(v, op == "$gt");
+                            continue;
                         }
                         "$lt" | "$lte" if range_scalar(v) => {
-                            let slot = bound_slot(&mut bounds, attr);
-                            slot.2 = Some(tighten(slot.2.take(), v, Ordering::Less));
+                            bound_slot(&mut bounds, attr).upper(v, op == "$lt");
+                            continue;
                         }
-                        "$eq" if range_scalar(v) => {
-                            // Normalization spells `$eq` as a plain literal
-                            // except for operator-shaped object literals;
-                            // treat a stray scalar `$eq` as equality.
-                            if self.opts.eq_lanes && eq_lane_safe(v) {
-                                return Placement::Eq {
-                                    attr: attr.to_owned(),
-                                    keys: vec![eq_key(v)],
-                                };
-                            }
-                            let slot = bound_slot(&mut bounds, attr);
-                            slot.1 = Some(tighten(slot.1.take(), v, Ordering::Greater));
-                            slot.2 = Some(tighten(slot.2.take(), v, Ordering::Less));
-                        }
+                        "$eq" if range_scalar(v) => v,
                         "$in" if self.opts.eq_lanes && best_in.is_none() => {
                             if let Some(items) = v.as_array() {
-                                if items.len() <= MAX_IN_LANE
-                                    && items.iter().all(eq_lane_safe)
-                                {
-                                    let mut keys: Vec<Vec<u8>> =
-                                        items.iter().map(eq_key).collect();
+                                if items.len() <= MAX_IN_LANE && items.iter().all(eq_lane_safe) {
+                                    let mut keys: Vec<Vec<u8>> = items.iter().map(eq_key).collect();
                                     keys.sort_unstable();
                                     keys.dedup();
                                     best_in = Some((attr.to_owned(), keys));
                                 }
                             }
+                            continue;
                         }
-                        _ => {}
+                        _ => continue,
                     }
                 }
-                literal => {
-                    // Plain equality: the most selective anchor there is.
-                    if self.opts.eq_lanes && eq_lane_safe(literal) {
-                        return Placement::Eq {
-                            attr: attr.to_owned(),
-                            keys: vec![eq_key(literal)],
-                        };
-                    }
-                    if range_scalar(literal) {
-                        let slot = bound_slot(&mut bounds, attr);
-                        slot.1 = Some(tighten(slot.1.take(), literal, Ordering::Greater));
-                        slot.2 = Some(tighten(slot.2.take(), literal, Ordering::Less));
-                    }
-                }
+                literal => literal,
+            };
+            // Plain equality: the most selective anchor there is.
+            if self.opts.eq_lanes && best_eq.is_none() && eq_lane_safe(literal) {
+                best_eq = Some((attr.to_owned(), vec![eq_key(literal)]));
+            }
+            if range_scalar(literal) {
+                let slot = bound_slot(&mut bounds, attr);
+                slot.lower(literal, false);
+                slot.upper(literal, false);
             }
         }
-        if let Some((attr, keys)) = best_in {
-            return Placement::Eq { attr, keys };
+        if let Some((attr, keys)) = best_eq.or(best_in) {
+            let residual = bounds
+                .into_iter()
+                .filter(|b| b.attr != attr && b.num.sides() > 0)
+                .max_by_key(|b| b.num.sides())
+                .map(|b| (b.attr, b.num));
+            return Placement::Eq { attr, keys, residual };
         }
         // Prefer two-sided (bounded) intervals over half-lines.
-        let best = bounds
-            .into_iter()
-            .max_by_key(|(_, lo, hi)| (lo.is_some() as u8) + (hi.is_some() as u8));
+        let best = bounds.into_iter().max_by_key(|b| (b.lo.is_some() as u8) + (b.hi.is_some() as u8));
         match best {
-            Some((attr, lo, hi)) if lo.is_some() || hi.is_some() => Placement::Range {
+            Some(AttrBounds { attr, lo, hi, .. }) if lo.is_some() || hi.is_some() => Placement::Range {
                 attr,
                 lo: lo.unwrap_or(bracket_min()),
                 hi: hi.unwrap_or(bracket_max()),
@@ -441,12 +535,12 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         match self.anchors.remove(&id) {
             None => {}
             Some(Anchor::Scan) => self.scan.retain(|s| *s != id),
-            Some(Anchor::Eq { attr, keys }) => {
+            Some(Anchor::Eq { attr, keys, residual_slot }) => {
                 if let Some(lane) = self.eq.get_mut(&attr) {
                     for key in &keys {
-                        if let Some(ids) = lane.get_mut(key) {
-                            ids.retain(|s| *s != id);
-                            if ids.is_empty() {
+                        if let Some(entries) = lane.get_mut(key) {
+                            entries.retain(|e| e.id != id);
+                            if entries.is_empty() {
                                 lane.remove(key);
                             }
                         }
@@ -454,6 +548,9 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                     if lane.is_empty() {
                         self.eq.remove(&attr);
                     }
+                }
+                if let Some(slot) = residual_slot {
+                    self.residual_attrs[slot as usize].1 -= 1;
                 }
             }
             Some(Anchor::Range { attr }) => {
@@ -489,24 +586,28 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         self.anchors.len() - self.scan.len()
     }
 
-    /// Drains the count of candidates produced via the equality lanes.
+    /// Drains the count of entries found in hit equality-lane keys,
+    /// including those their residual range then rejected.
     pub fn take_eq_lane_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.eq_lane_hits)
+        std::mem::take(&mut self.probe.eq_hits)
+    }
+
+    /// Drains the count of equality-lane entries dropped by their residual
+    /// range (a subset of the lane hits).
+    pub fn take_residual_rejects(&mut self) -> u64 {
+        std::mem::take(&mut self.probe.rejects)
     }
 
     /// Candidate queries for a document, filled into `out` (cleared first):
     /// every scan-list query plus the indexed queries whose lane the
-    /// document's top-level attribute values hit. A superset of the true
-    /// matches; adjacent duplicates removed.
+    /// document's top-level attribute values hit, minus equality-lane
+    /// entries whose residual range the document misses. A superset of the
+    /// true matches; adjacent duplicates removed.
     pub fn candidates(&mut self, doc: &Document, out: &mut Vec<Id>) {
         self.rebuild_if_dirty();
         out.clear();
         out.extend_from_slice(&self.scan);
-        let mut key_scratch = std::mem::take(&mut self.key_scratch);
-        let mut hits = 0u64;
-        Self::probe(&self.eq, &self.trees, doc, out, &mut key_scratch, &mut hits);
-        self.key_scratch = key_scratch;
-        self.eq_lane_hits += hits;
+        Self::probe(&self.eq, &self.trees, &self.residual_attrs, doc, out, &mut self.probe);
         out.dedup();
     }
 
@@ -523,15 +624,17 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// cost is paid once per batch. The pair set is exactly
     /// `{(id, w) | id ∈ candidates(docs[w])}` — the same conservative
     /// superset guarantee as [`QueryIndex::candidates`].
-    pub fn candidates_batch(&mut self, docs: &[Option<&Document>], out: &mut Vec<(Id, u32)>)
+    ///
+    /// Returns how many lane entries the residual ranges rejected in this
+    /// call, so the caller can account for them as filtered evaluations.
+    pub fn candidates_batch(&mut self, docs: &[Option<&Document>], out: &mut Vec<(Id, u32)>) -> u64
     where
         Id: Ord,
     {
         self.rebuild_if_dirty();
         out.clear();
         let mut scratch = std::mem::take(&mut self.stab_scratch);
-        let mut key_scratch = std::mem::take(&mut self.key_scratch);
-        let mut hits = 0u64;
+        let rejects_before = self.probe.rejects;
         for (w, doc) in docs.iter().enumerate() {
             let w = w as u32;
             for id in &self.scan {
@@ -542,19 +645,18 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
                 None => continue,
             };
             scratch.clear();
-            Self::probe(&self.eq, &self.trees, doc, &mut scratch, &mut key_scratch, &mut hits);
+            Self::probe(&self.eq, &self.trees, &self.residual_attrs, doc, &mut scratch, &mut self.probe);
             for id in &scratch {
                 out.push((*id, w));
             }
         }
         self.stab_scratch = scratch;
-        self.key_scratch = key_scratch;
-        self.eq_lane_hits += hits;
         // Stable sort: equal ids keep insertion order, and insertion order
         // within one id is ascending write index (writes were visited in
         // order), so duplicates of one `(id, w)` end up adjacent.
         out.sort_by_key(|(id, _)| *id);
         out.dedup();
+        self.probe.rejects - rejects_before
     }
 
     /// One document's probe against the equality lanes and interval trees.
@@ -562,22 +664,24 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     /// lookups use the element envelope (see the module docs for why
     /// per-element stabbing would miss multi-conjunct matches).
     fn probe(
-        eq: &HashMap<String, HashMap<Vec<u8>, Vec<Id>>>,
+        eq: &HashMap<String, Lane<Id>>,
         trees: &HashMap<String, IntervalTree<Id>>,
+        residual_attrs: &[(String, usize)],
         doc: &Document,
         out: &mut Vec<Id>,
-        key_scratch: &mut Vec<u8>,
-        eq_hits: &mut u64,
+        scratch: &mut ProbeScratch,
     ) {
+        scratch.nums.clear();
+        scratch.nums.resize(residual_attrs.len(), None);
         for (attr, value) in doc.iter() {
             if let Some(lane) = eq.get(attr) {
                 match value {
                     Value::Array(items) => {
                         for item in items {
-                            Self::probe_eq(lane, item, out, key_scratch, eq_hits);
+                            Self::probe_eq(lane, item, residual_attrs, doc, out, scratch);
                         }
                     }
-                    v => Self::probe_eq(lane, v, out, key_scratch, eq_hits),
+                    v => Self::probe_eq(lane, v, residual_attrs, doc, out, scratch),
                 }
             }
             if let Some(tree) = trees.get(attr) {
@@ -603,18 +707,33 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
         }
     }
 
+    /// Looks `v` up in one equality lane and emits the entries whose
+    /// residual range does not certainly exclude `doc`.
     fn probe_eq(
-        lane: &HashMap<Vec<u8>, Vec<Id>>,
+        lane: &Lane<Id>,
         v: &Value,
+        residual_attrs: &[(String, usize)],
+        doc: &Document,
         out: &mut Vec<Id>,
-        key_scratch: &mut Vec<u8>,
-        hits: &mut u64,
+        scratch: &mut ProbeScratch,
     ) {
-        key_scratch.clear();
-        v.write_canonical(key_scratch);
-        if let Some(ids) = lane.get(key_scratch.as_slice()) {
-            out.extend_from_slice(ids);
-            *hits += ids.len() as u64;
+        scratch.key.clear();
+        v.write_canonical(&mut scratch.key);
+        let Some(entries) = lane.get(scratch.key.as_slice()) else {
+            return;
+        };
+        scratch.eq_hits += entries.len() as u64;
+        for entry in entries {
+            if let Some(r) = &entry.residual {
+                let num = *scratch.nums[r.slot as usize].get_or_insert_with(|| {
+                    doc.get(&residual_attrs[r.slot as usize].0).and_then(exact_f64)
+                });
+                if num.is_some_and(|x| r.range.excludes(x)) {
+                    scratch.rejects += 1;
+                    continue;
+                }
+            }
+            out.push(entry.id);
         }
     }
 
@@ -641,15 +760,58 @@ impl<Id: Copy + Eq + Hash> QueryIndex<Id> {
     }
 }
 
+/// The slot of `attr` in the residual attribute table, with its use count
+/// raised; reuses a released slot before growing the table.
+fn acquire_slot(attrs: &mut Vec<(String, usize)>, attr: &str) -> u32 {
+    let slot = match attrs.iter().position(|(a, n)| a == attr && *n > 0) {
+        Some(slot) => slot,
+        None => match attrs.iter().position(|(_, n)| *n == 0) {
+            Some(free) => {
+                attrs[free].0 = attr.to_owned();
+                free
+            }
+            None => {
+                attrs.push((attr.to_owned(), 0));
+                attrs.len() - 1
+            }
+        },
+    };
+    attrs[slot].1 += 1;
+    u32::try_from(slot).expect("fewer than 2^32 residual attributes")
+}
+
+/// One attribute's combined bounds while planning: canonical `Value`
+/// bounds (conservatively inclusive) for an interval anchor, and the exact
+/// numeric range for a residual.
+struct AttrBounds {
+    attr: String,
+    lo: Option<Value>,
+    hi: Option<Value>,
+    num: NumRange,
+}
+
+impl AttrBounds {
+    fn lower(&mut self, v: &Value, strict: bool) {
+        self.lo = Some(tighten(self.lo.take(), v, Ordering::Greater));
+        if let Some(b) = exact_f64(v) {
+            self.num.raise_lo(b, strict);
+        }
+    }
+
+    fn upper(&mut self, v: &Value, strict: bool) {
+        self.hi = Some(tighten(self.hi.take(), v, Ordering::Less));
+        if let Some(b) = exact_f64(v) {
+            self.num.lower_hi(b, strict);
+        }
+    }
+}
+
 /// The combined-bound slot for `attr` (first-seen order preserved).
-fn bound_slot<'a>(
-    bounds: &'a mut Vec<(String, Option<Value>, Option<Value>)>,
-    attr: &str,
-) -> &'a mut (String, Option<Value>, Option<Value>) {
-    if let Some(i) = bounds.iter().position(|(a, _, _)| a == attr) {
+fn bound_slot<'a>(bounds: &'a mut Vec<AttrBounds>, attr: &str) -> &'a mut AttrBounds {
+    if let Some(i) = bounds.iter().position(|b| b.attr == attr) {
         return &mut bounds[i];
     }
-    bounds.push((attr.to_owned(), None, None));
+    bounds.push(AttrBounds { attr: attr.to_owned(), lo: None, hi: None, num: NumRange::ALL });
     bounds.last_mut().expect("just pushed")
 }
 
@@ -657,6 +819,7 @@ fn bound_slot<'a>(
 mod tests {
     use super::*;
     use invalidb_common::doc;
+    use std::sync::Arc;
 
     fn range_filter(lo: i64, hi: i64) -> Document {
         doc! { "random" => doc! { "$gte" => lo, "$lt" => hi } }
@@ -803,12 +966,126 @@ mod tests {
         idx.insert(3, &doc! { "state" => doc! { "$in" => vec!["a", "b"] } });
         assert_eq!(idx.scan_len(), 0, "no conjunctive filter fell to the scan list");
         assert_eq!(idx.indexed_len(), 3);
-        // Probes are supersets keyed on the anchor only.
-        assert_eq!(cands(&mut idx, &doc! { "status" => "open", "price" => 500i64 }), vec![1]);
+        // The anchor's lane entry carries `price < 100` as its residual, so
+        // a price outside it yields no candidate.
+        assert!(cands(&mut idx, &doc! { "status" => "open", "price" => 500i64 }).is_empty());
+        assert_eq!(cands(&mut idx, &doc! { "status" => "open", "price" => 50i64 }), vec![1]);
         assert!(cands(&mut idx, &doc! { "status" => "closed", "price" => 50i64 }).is_empty());
         assert_eq!(cands(&mut idx, &doc! { "price" => 15i64 }), vec![2]);
         assert_eq!(cands(&mut idx, &doc! { "state" => "b" }), vec![3]);
         assert_eq!(cands(&mut idx, &doc! { "state" => "c" }), Vec::<u32>::new());
+    }
+
+    type Prepared = (u32, Arc<dyn invalidb_query::PreparedQuery>);
+
+    /// Candidates for `{s: "x", p: <value>}`, sorted, after checking that
+    /// every true match of `prepared` is among them.
+    fn residual_probe(idx: &mut QueryIndex<u32>, prepared: &[Prepared], p: Option<Value>) -> Vec<u32> {
+        let mut d = doc! { "s" => "x" };
+        if let Some(p) = p {
+            d.insert("p", p);
+        }
+        let mut c = cands(idx, &d);
+        c.sort();
+        for (id, q) in prepared {
+            if q.matches(&d) {
+                assert!(c.contains(id), "query {id} matches {d} but was rejected");
+            }
+        }
+        c
+    }
+
+    fn residual_index(filters: &[(u32, Document)]) -> (QueryIndex<u32>, Vec<Prepared>) {
+        use invalidb_query::{MongoQueryEngine, QueryEngine};
+        let mut idx: QueryIndex<u32> = QueryIndex::default();
+        let mut prepared = Vec::new();
+        for (id, f) in filters {
+            idx.insert(*id, f);
+            let spec = invalidb_common::QuerySpec::filter("t", f.clone());
+            prepared.push((*id, MongoQueryEngine.prepare(&spec).unwrap()));
+        }
+        (idx, prepared)
+    }
+
+    #[test]
+    fn residual_range_keeps_bound_strictness() {
+        let (mut idx, q) = residual_index(&[
+            (1, doc! { "s" => "x", "p" => doc! { "$gte" => 10i64, "$lt" => 20i64 } }),
+            (2, doc! { "s" => "x", "p" => doc! { "$gt" => 10i64, "$lte" => 20.5f64 } }),
+        ]);
+        let mut probe = |p: Value| residual_probe(&mut idx, &q, Some(p));
+        // Lower bound: inclusive for 1, strict for 2; Int and Float agree.
+        assert_eq!(probe(Value::Int(10)), vec![1]);
+        assert_eq!(probe(Value::Float(10.0)), vec![1]);
+        assert_eq!(probe(Value::Float(10.5)), vec![1, 2]);
+        assert!(probe(Value::Float(9.999)).is_empty());
+        // Upper bound: strict for 1 (an Int), inclusive for 2 (a Float).
+        assert_eq!(probe(Value::Int(20)), vec![2]);
+        assert_eq!(probe(Value::Float(19.999)), vec![1, 2]);
+        assert_eq!(probe(Value::Float(20.5)), vec![2]);
+        assert!(probe(Value::Int(21)).is_empty());
+        assert!(probe(Value::Float(f64::INFINITY)).is_empty());
+        assert!(probe(Value::Float(f64::NEG_INFINITY)).is_empty());
+        assert_eq!(idx.take_eq_lane_hits(), 20, "every probe hit both entries");
+        assert_eq!(idx.take_residual_rejects(), 12);
+    }
+
+    #[test]
+    fn residual_range_treats_negative_zero_as_zero() {
+        let (mut idx, q) = residual_index(&[
+            (1, doc! { "s" => "x", "p" => doc! { "$gt" => 0i64 } }),
+            (2, doc! { "s" => "x", "p" => doc! { "$gte" => 0.0f64 } }),
+            (3, doc! { "s" => "x", "p" => doc! { "$lt" => -0.0f64 } }),
+            (4, doc! { "s" => "x", "p" => doc! { "$lte" => -0.0f64 } }),
+        ]);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Float(-0.0))), vec![2, 4]);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Int(0))), vec![2, 4]);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Float(f64::MIN_POSITIVE))), vec![1, 2]);
+    }
+
+    #[test]
+    fn residual_range_keeps_values_it_cannot_compare_exactly() {
+        let big = 1i64 << 53;
+        let (mut idx, q) = residual_index(&[
+            (1, doc! { "s" => "x", "p" => doc! { "$gte" => 10i64, "$lt" => 20i64 } }),
+            // 2^53 converts exactly; the doc values above it do not.
+            (2, doc! { "s" => "x", "p" => doc! { "$gt" => big } }),
+            // A bound beyond 2^53 is left out of the residual.
+            (3, doc! { "s" => "x", "p" => doc! { "$lt" => big + 1 } }),
+            // NaN sorts below every number, so it satisfies `$lt`.
+            (4, doc! { "s" => "x", "p" => doc! { "$lt" => 0i64 } }),
+        ]);
+        let all = vec![1, 2, 3, 4];
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Float(f64::NAN))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Int(big + 1))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Int(-big - 1))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Float(big as f64))), vec![3]);
+        // Missing, null, string, bool and arrays (a split-conjunct match
+        // included) are never rejected.
+        assert_eq!(residual_probe(&mut idx, &q, None), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Null)), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::from("15"))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::Bool(true))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::from(vec![5i64, 25]))), all);
+        assert_eq!(residual_probe(&mut idx, &q, Some(Value::from(Vec::<i64>::new()))), all);
+    }
+
+    #[test]
+    fn residual_slots_follow_insert_and_remove() {
+        let mut idx: QueryIndex<u32> = QueryIndex::default();
+        idx.insert(1, &doc! { "s" => "x", "p" => doc! { "$lt" => 5i64 } });
+        idx.insert(2, &doc! { "s" => "x", "q" => doc! { "$lt" => 5i64 } });
+        idx.insert(3, &doc! { "s" => doc! { "$in" => vec!["x", "y"] }, "p" => doc! { "$gt" => 5i64 } });
+        assert_eq!(idx.residual_attrs, vec![("p".to_owned(), 2), ("q".to_owned(), 1)]);
+        assert_eq!(cands(&mut idx, &doc! { "s" => "y", "p" => 9i64 }), vec![3]);
+        idx.remove(1);
+        idx.remove(3);
+        // The released slot is reused by the next attribute.
+        idx.insert(4, &doc! { "s" => "x", "r" => doc! { "$lt" => 5i64 } });
+        assert_eq!(idx.residual_attrs, vec![("r".to_owned(), 1), ("q".to_owned(), 1)]);
+        let mut c = cands(&mut idx, &doc! { "s" => "x", "q" => 9i64, "r" => 1i64 });
+        c.sort();
+        assert_eq!(c, vec![4]);
     }
 
     #[test]
@@ -905,33 +1182,63 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let attrs = ["a", "b", "c"];
         let colors = ["red", "green", "blue"];
+        // Residual-range boundary values: signed zero, NaN, infinities and
+        // integers at and beyond the exact-`f64` range.
+        let big = 1i64 << 53;
+        let boundary = [
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Int(-big - 1),
+            Value::Float(big as f64),
+            Value::Int(10),
+            Value::Float(10.0),
+        ];
         let gen_value = |rng: &mut StdRng| -> Value {
-            match rng.gen_range(0..4) {
+            match rng.gen_range(0..5) {
                 0 => Value::Int(rng.gen_range(-20..20i64)),
                 1 => Value::Float(rng.gen_range(-20.0..20.0)),
                 2 => Value::from(colors[rng.gen_range(0..colors.len())]),
+                3 => boundary[rng.gen_range(0..boundary.len())].clone(),
                 _ => Value::Bool(rng.gen_bool(0.5)),
             }
         };
+        let gen_number = |rng: &mut StdRng| -> Value {
+            match rng.gen_range(0..3) {
+                0 => Value::Int(rng.gen_range(-20..20i64)),
+                1 => Value::Float(rng.gen_range(-20.0..20.0)),
+                _ => boundary[rng.gen_range(0..boundary.len())].clone(),
+            }
+        };
         let mut filters: Vec<Document> = Vec::new();
-        for _ in 0..150 {
-            let n_conj = 1 + usize::from(rand::Rng::gen_bool(&mut rng, 0.5));
+        for _ in 0..300 {
+            let n_conj = rng.gen_range(1..=3usize);
             let mut f = Document::new();
             for _ in 0..n_conj {
                 let attr = attrs[rng.gen_range(0..attrs.len())];
                 if f.contains_key(attr) {
                     continue;
                 }
-                match rng.gen_range(0..5) {
+                match rng.gen_range(0..6) {
                     0 => {
                         f.insert(attr, gen_value(&mut rng));
                     }
+                    5 => {
+                        // Both bounds from the number pool, strictness random.
+                        let lo_op = if rng.gen_bool(0.5) { "$gt" } else { "$gte" };
+                        let hi_op = if rng.gen_bool(0.5) { "$lt" } else { "$lte" };
+                        let mut cond = Document::new();
+                        cond.insert(lo_op, gen_number(&mut rng));
+                        cond.insert(hi_op, gen_number(&mut rng));
+                        f.insert(attr, cond);
+                    }
                     1 => {
                         let lo = rng.gen_range(-20..20i64);
-                        f.insert(
-                            attr,
-                            doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(0..10i64) },
-                        );
+                        f.insert(attr, doc! { "$gte" => lo, "$lt" => lo + rng.gen_range(0..10i64) });
                     }
                     2 => {
                         f.insert(attr, doc! { "$gt" => rng.gen_range(-20..20i64) });
@@ -957,13 +1264,16 @@ mod tests {
                 idx.insert(i, f);
             }
             let mut rng = StdRng::seed_from_u64(31);
-            for _ in 0..400 {
+            for _ in 0..1000 {
                 let mut d = Document::new();
                 for attr in attrs {
-                    match rng.gen_range(0..4) {
+                    match rng.gen_range(0..5) {
                         0 => {} // missing
                         1 => {
                             d.insert(attr, gen_value(&mut rng));
+                        }
+                        4 => {
+                            d.insert(attr, gen_number(&mut rng));
                         }
                         2 => {
                             let vals: Vec<Value> =
@@ -985,6 +1295,9 @@ mod tests {
                         );
                     }
                 }
+            }
+            if opts.eq_lanes {
+                assert!(idx.take_residual_rejects() > 0, "the residual ranges were exercised");
             }
         }
     }

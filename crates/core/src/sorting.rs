@@ -241,7 +241,7 @@ impl SortingNode {
                 &fc.tenant.0,
                 fc.query_hash.0,
                 || group.spec_display.clone(),
-                started.elapsed().as_micros() as u64,
+                started.elapsed().as_nanos() as u64,
             );
             return;
         }
@@ -251,7 +251,7 @@ impl SortingNode {
             &fc.tenant.0,
             fc.query_hash.0,
             || group.spec_display.clone(),
-            started.elapsed().as_micros() as u64,
+            started.elapsed().as_nanos() as u64,
         );
     }
 
@@ -459,7 +459,13 @@ mod tests {
         }))
     }
 
-    fn change_event(spec: &QuerySpec, kind: FilterChangeKind, key: &str, version: u64, doc: Option<Document>) -> Event {
+    fn change_event(
+        spec: &QuerySpec,
+        kind: FilterChangeKind,
+        key: &str,
+        version: u64,
+        doc: Option<Document>,
+    ) -> Event {
         Event::FilterChange(Arc::new(FilterChange {
             tenant: TenantId::new("app"),
             query_hash: spec.stable_hash(),
@@ -473,12 +479,7 @@ mod tests {
     }
 
     fn item(key: &str, version: u64, n: i64) -> ResultItem {
-        ResultItem {
-            key: Key::of(key),
-            version,
-            doc: Some(doc! { "n" => n }),
-            index: None,
-        }
+        ResultItem { key: Key::of(key), version, doc: Some(doc! { "n" => n }), index: None }
     }
 
     fn notifications(h: &Harness, n: usize) -> Vec<Notification> {
@@ -509,9 +510,8 @@ mod tests {
     #[test]
     fn changes_buffered_while_awaiting_renewal_replay_after_reseed() {
         let h = harness(ClusterConfig::new(1, 1));
-        let spec = QuerySpec::filter("t", Document::new())
-            .sorted_by("n", SortDirection::Asc)
-            .with_limit(2);
+        let spec =
+            QuerySpec::filter("t", Document::new()).sorted_by("n", SortDirection::Asc).with_limit(2);
 
         // Seed with zero slack and a full (hence incomplete) window: the
         // first remove exhausts the window and raises a maintenance error.
@@ -528,14 +528,8 @@ mod tests {
         // While the query is deactivated, two changes race the renewal:
         // one already covered by the upcoming snapshot (k2@1, stale) and
         // one that postdates it (k3). Both were silently discarded before.
-        h.tx.send(change_event(
-            &spec,
-            FilterChangeKind::Change,
-            "k2",
-            1,
-            Some(doc! { "n" => 2i64 }),
-        ))
-        .unwrap();
+        h.tx.send(change_event(&spec, FilterChangeKind::Change, "k2", 1, Some(doc! { "n" => 2i64 })))
+            .unwrap();
         h.tx.send(change_event(&spec, FilterChangeKind::Add, "k3", 1, Some(doc! { "n" => 3i64 })))
             .unwrap();
 
@@ -566,9 +560,8 @@ mod tests {
         cfg.tick_interval = Duration::from_millis(10);
         let metrics = cfg.metrics.clone();
         let h = harness(cfg);
-        let spec = QuerySpec::filter("t", Document::new())
-            .sorted_by("n", SortDirection::Asc)
-            .with_limit(2);
+        let spec =
+            QuerySpec::filter("t", Document::new()).sorted_by("n", SortDirection::Asc).with_limit(2);
 
         // Two subscribers, one shared window.
         h.tx.send(subscribe_as(&spec, 1, 0, vec![item("k1", 1, 1), item("k2", 1, 2)])).unwrap();
@@ -589,8 +582,7 @@ mod tests {
         let notes = notifications(&h, 2);
         assert_eq!(notes.len(), 2, "both members get the maintenance error: {notes:?}");
         assert!(notes.iter().all(|n| matches!(n.kind, NotificationKind::Error(_))));
-        let erred: std::collections::HashSet<u64> =
-            notes.iter().map(|n| n.subscription.0).collect();
+        let erred: std::collections::HashSet<u64> = notes.iter().map(|n| n.subscription.0).collect();
         assert_eq!(erred, std::collections::HashSet::from([1, 2]));
 
         // While deactivated: a change postdating the upcoming snapshot is
@@ -636,9 +628,7 @@ mod tests {
         // With one member left the window no longer counts as shared.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            if metrics.snapshot().gauges.get("matching.index.shared_windows").copied()
-                == Some(0)
-            {
+            if metrics.snapshot().gauges.get("matching.index.shared_windows").copied() == Some(0) {
                 break;
             }
             assert!(std::time::Instant::now() < deadline, "shared_windows gauge never fell");

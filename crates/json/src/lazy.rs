@@ -554,7 +554,10 @@ mod tests {
         let lazy = LazyDoc::new(&bytes).unwrap();
         assert_eq!(lazy.materialize().unwrap(), bin::decode_document(&bytes).unwrap());
         let sub = lazy.get("doc").unwrap().unwrap().as_object().unwrap();
-        assert_eq!(Some(&Value::Object(sub.materialize().unwrap())), lazy.materialize().unwrap().get("doc"));
+        assert_eq!(
+            Some(&Value::Object(sub.materialize().unwrap())),
+            lazy.materialize().unwrap().get("doc")
+        );
     }
 
     #[test]
@@ -571,10 +574,7 @@ mod tests {
         assert!(matches!(LazyDoc::new(b"IVB"), Err(BinError { kind: BinErrorKind::Truncated, .. })));
         let mut bytes = payload();
         bytes[4] = 9;
-        assert!(matches!(
-            LazyDoc::new(&bytes),
-            Err(BinError { kind: BinErrorKind::BadVersion(9), .. })
-        ));
+        assert!(matches!(LazyDoc::new(&bytes), Err(BinError { kind: BinErrorKind::BadVersion(9), .. })));
     }
 
     #[test]

@@ -33,8 +33,8 @@ mod parse;
 mod ser;
 
 pub use bin::{BinError, BinErrorKind};
-pub use lazy::{LazyArray, LazyDoc, LazyObject, LazyValue, PayloadView};
 pub use error::{JsonError, JsonErrorKind};
+pub use lazy::{LazyArray, LazyDoc, LazyObject, LazyValue, PayloadView};
 pub use parse::{parse_document, parse_value, Parser};
 pub use ser::{to_bytes, to_string, write_document, write_value};
 

@@ -167,9 +167,9 @@ struct PendingCharge {
     /// consumed when the flush creates the shared entry.
     label: Option<String>,
     evals: u64,
-    total_us: u64,
-    max_us: u64,
-    last_us: u64,
+    total_ns: u64,
+    max_ns: u64,
+    last_ns: u64,
 }
 
 /// A per-task charge accumulator for pipeline stages.
@@ -179,9 +179,13 @@ struct PendingCharge {
 /// on one global lock per evaluation. Instead each bolt charges its own
 /// (unsynchronized) scratch and flushes the batch on tick, so the shared
 /// lock is taken once per tick interval rather than once per write×query.
+/// Charges are in nanoseconds, because most evaluations take well under a
+/// microsecond; the flush converts them to the log's microseconds.
 #[derive(Default)]
 pub struct SlowQueryScratch {
-    pending: HashMap<(String, u64), PendingCharge>,
+    /// Tenant → query hash → charge; nested so a charge looks the tenant
+    /// up by `&str` instead of allocating a key.
+    pending: HashMap<String, HashMap<u64, PendingCharge>>,
 }
 
 impl SlowQueryScratch {
@@ -190,36 +194,20 @@ impl SlowQueryScratch {
         SlowQueryScratch::default()
     }
 
-    /// Charges one evaluation of `cost_us` microseconds locally. `label`
-    /// is called only on the query's first local sighting since the last
+    /// Charges one evaluation of `cost_ns` nanoseconds locally. `label` is
+    /// called only on the query's first local sighting since the last
     /// flush.
     pub fn charge(
         &mut self,
         tenant: &str,
         query_hash: u64,
         label: impl FnOnce() -> String,
-        cost_us: u64,
+        cost_ns: u64,
     ) {
-        if let Some(p) = self.pending.get_mut(&(tenant.to_owned(), query_hash)) {
-            p.evals += 1;
-            p.total_us += cost_us;
-            p.max_us = p.max_us.max(cost_us);
-            p.last_us = cost_us;
-            return;
-        }
-        self.pending.insert(
-            (tenant.to_owned(), query_hash),
-            PendingCharge {
-                label: Some(label()),
-                evals: 1,
-                total_us: cost_us,
-                max_us: cost_us,
-                last_us: cost_us,
-            },
-        );
+        self.charge_n(tenant, query_hash, label, 1, cost_ns);
     }
 
-    /// Charges `evals` evaluations totalling `cost_us` microseconds in one
+    /// Charges `evals` evaluations totalling `cost_ns` nanoseconds in one
     /// call. The batched matching path times a whole per-query candidate
     /// slice with a single clock-read pair; the per-evaluation cost is
     /// approximated by the slice mean for the max/last fields.
@@ -229,34 +217,34 @@ impl SlowQueryScratch {
         query_hash: u64,
         label: impl FnOnce() -> String,
         evals: u64,
-        cost_us: u64,
+        cost_ns: u64,
     ) {
         if evals == 0 {
             return;
         }
-        let per_eval = cost_us / evals;
-        if let Some(p) = self.pending.get_mut(&(tenant.to_owned(), query_hash)) {
+        let per_eval = cost_ns / evals;
+        if let Some(p) = self.pending.get_mut(tenant).and_then(|by_hash| by_hash.get_mut(&query_hash)) {
             p.evals += evals;
-            p.total_us += cost_us;
-            p.max_us = p.max_us.max(per_eval);
-            p.last_us = per_eval;
+            p.total_ns += cost_ns;
+            p.max_ns = p.max_ns.max(per_eval);
+            p.last_ns = per_eval;
             return;
         }
-        self.pending.insert(
-            (tenant.to_owned(), query_hash),
+        self.pending.entry(tenant.to_owned()).or_default().insert(
+            query_hash,
             PendingCharge {
                 label: Some(label()),
                 evals,
-                total_us: cost_us,
-                max_us: per_eval,
-                last_us: per_eval,
+                total_ns: cost_ns,
+                max_ns: per_eval,
+                last_ns: per_eval,
             },
         );
     }
 
     /// Number of distinct queries with unflushed charges.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.values().map(HashMap::len).sum()
     }
 
     /// Whether there is anything to flush.
@@ -265,42 +253,70 @@ impl SlowQueryScratch {
     }
 
     /// Drains every accumulated charge into `log` under a single lock
-    /// acquisition. A no-op when nothing was charged.
+    /// acquisition. A no-op when nothing was charged. Queries new to the
+    /// log are always admitted; when they do not fit, the cheapest existing
+    /// entries make room, chosen in one selection pass per flush (and if
+    /// the new queries alone exceed the capacity, only the costliest of
+    /// them are kept).
     pub fn flush(&mut self, log: &SlowQueryLog) {
         if self.pending.is_empty() {
             return;
         }
         let now = now_micros();
         let mut entries = log.inner.entries.lock();
-        for ((tenant, query_hash), p) in self.pending.drain() {
-            if let Some(e) = entries.get_mut(&(tenant.clone(), query_hash)) {
-                e.evals += p.evals;
-                e.total_us += p.total_us;
-                e.max_us = e.max_us.max(p.max_us);
-                e.last_us = p.last_us;
-                e.last_seen_micros = now;
-                continue;
-            }
-            if entries.len() >= log.inner.capacity {
-                if let Some(victim) =
-                    entries.iter().min_by_key(|(_, e)| e.total_us).map(|(k, _)| k.clone())
-                {
-                    entries.remove(&victim);
+        let mut fresh: Vec<SlowQueryEntry> = Vec::new();
+        for (tenant, by_hash) in self.pending.drain() {
+            for (query_hash, p) in by_hash {
+                let (total_us, max_us, last_us) = (p.total_ns / 1000, p.max_ns / 1000, p.last_ns / 1000);
+                if let Some(e) = entries.get_mut(&(tenant.clone(), query_hash)) {
+                    e.evals += p.evals;
+                    e.total_us += total_us;
+                    e.max_us = e.max_us.max(max_us);
+                    e.last_us = last_us;
+                    e.last_seen_micros = now;
+                    continue;
                 }
-            }
-            entries.insert(
-                (tenant.clone(), query_hash),
-                SlowQueryEntry {
-                    tenant,
+                fresh.push(SlowQueryEntry {
+                    tenant: tenant.clone(),
                     query_hash,
                     label: p.label.unwrap_or_default(),
                     evals: p.evals,
-                    total_us: p.total_us,
-                    max_us: p.max_us,
-                    last_us: p.last_us,
+                    total_us,
+                    max_us,
+                    last_us,
                     last_seen_micros: now,
-                },
-            );
+                });
+            }
+        }
+        let capacity = log.inner.capacity;
+        if fresh.len() >= capacity {
+            entries.clear();
+            if fresh.len() > capacity {
+                fresh.select_nth_unstable_by(capacity - 1, |a, b| b.total_us.cmp(&a.total_us));
+                fresh.truncate(capacity);
+            }
+        } else {
+            let overflow = (entries.len() + fresh.len()).saturating_sub(capacity);
+            if overflow > 0 {
+                // Evict the `overflow` cheapest: everything below the
+                // overflow-th smallest cost, then ties at it as needed.
+                let mut costs: Vec<u64> = entries.values().map(|e| e.total_us).collect();
+                let cutoff = *costs.select_nth_unstable(overflow - 1).1;
+                let mut ties = overflow - costs.iter().filter(|c| **c < cutoff).count();
+                entries.retain(|_, e| {
+                    if e.total_us != cutoff {
+                        return e.total_us > cutoff;
+                    }
+                    if ties > 0 {
+                        ties -= 1;
+                        return false;
+                    }
+                    true
+                });
+            }
+        }
+        for e in fresh {
+            entries.insert((e.tenant.clone(), e.query_hash), e);
         }
     }
 }
@@ -362,9 +378,9 @@ mod tests {
     fn scratch_batches_and_flushes() {
         let log = SlowQueryLog::with_capacity(8);
         let mut scratch = SlowQueryScratch::new();
-        scratch.charge("t", 1, || "a".into(), 100);
-        scratch.charge("t", 1, || "never".into(), 300);
-        scratch.charge("t", 2, || "b".into(), 50);
+        scratch.charge("t", 1, || "a".into(), 100_000);
+        scratch.charge("t", 1, || "never".into(), 300_000);
+        scratch.charge("t", 2, || "b".into(), 50_000);
         assert_eq!(scratch.len(), 2);
         assert!(log.is_empty(), "nothing reaches the shared log before flush");
         scratch.flush(&log);
@@ -377,7 +393,7 @@ mod tests {
         assert_eq!(top[0].last_us, 300);
         assert_eq!(top[1].label, "b");
         // A second flush accumulates into the existing entries.
-        scratch.charge("t", 1, || "ignored".into(), 50);
+        scratch.charge("t", 1, || "ignored".into(), 50_000);
         scratch.flush(&log);
         let top = log.top(10);
         assert_eq!(top[0].evals, 3);
@@ -395,5 +411,50 @@ mod tests {
         scratch.flush(&log);
         let labels: Vec<String> = log.top(10).into_iter().map(|e| e.label).collect();
         assert_eq!(labels, vec!["heavy", "new"]);
+    }
+
+    #[test]
+    fn scratch_accumulates_sub_microsecond_charges() {
+        let log = SlowQueryLog::with_capacity(8);
+        let mut scratch = SlowQueryScratch::new();
+        for _ in 0..1_000 {
+            scratch.charge("t", 1, || "q".into(), 400);
+        }
+        scratch.flush(&log);
+        let top = log.top(1);
+        assert_eq!(top[0].evals, 1_000);
+        assert_eq!(top[0].total_us, 400, "1,000 charges of 400 ns");
+        assert_eq!(top[0].max_us, 0);
+    }
+
+    #[test]
+    fn scratch_flush_admits_many_new_queries_in_one_pass() {
+        let log = SlowQueryLog::with_capacity(512);
+        for h in 0..100u64 {
+            log.charge("t", h, || format!("old{h}"), 5);
+        }
+        let mut scratch = SlowQueryScratch::new();
+        for i in 1..=2_000u64 {
+            scratch.charge("t", 1_000 + i, || format!("new{i}"), i * 1_000);
+        }
+        scratch.flush(&log);
+        assert_eq!(log.len(), 512);
+        let top = log.top(512);
+        // More new queries than capacity: the costliest 512 of them stay.
+        assert!(top.iter().all(|e| e.label.starts_with("new")));
+        assert_eq!(top[0].total_us, 2_000);
+        assert_eq!(top[511].total_us, 1_489);
+
+        // Fewer new queries than the overflow: only the cheapest existing
+        // entries (totals 1,489..1,588) make room.
+        for i in 1..=100u64 {
+            scratch.charge("t", 10_000 + i, || format!("late{i}"), 1_000);
+        }
+        scratch.flush(&log);
+        assert_eq!(log.len(), 512);
+        let kept: Vec<SlowQueryEntry> = log.top(512);
+        assert_eq!(kept.iter().filter(|e| e.label.starts_with("late")).count(), 100);
+        let old_min = kept.iter().filter(|e| e.label.starts_with("new")).map(|e| e.total_us).min();
+        assert_eq!(old_min, Some(1_589));
     }
 }

@@ -163,10 +163,12 @@ fn main() {
             counter("appserver.events_delivered"),
         );
         println!(
-            "          index: indexed={} scanned={} eq_hits={} pred_hits={} shared_windows={}",
+            "          index: indexed={} scanned={} eq_hits={} residual_rejects={} pred_hits={} \
+             shared_windows={}",
             gauge("matching.index.indexed_queries"),
             gauge("matching.index.scanned_queries"),
             counter("matching.index.eq_lane_hits"),
+            counter("matching.index.residual_rejects"),
             counter("matching.index.pred_cache_hits"),
             gauge("matching.index.shared_windows"),
         );
